@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pandas as pd
@@ -250,9 +251,14 @@ def instances_inside(members: np.ndarray, vertex_set) -> np.ndarray:
     return ok.all(axis=1) if len(vs) else np.zeros(members.shape[0], dtype=bool)
 
 
-def density_of(members: np.ndarray, vertex_set) -> float:
-    """rho(G[S], Psi) = instances fully inside S / |S|."""
+def density_fraction(members: np.ndarray, vertex_set) -> Fraction:
+    """rho(G[S], Psi) = instances fully inside S / |S|, as an exact rational."""
     nv = len(vertex_set)
     if nv == 0:
-        return 0.0
-    return float(instances_inside(members, vertex_set).sum()) / nv
+        return Fraction(0)
+    return Fraction(int(instances_inside(members, vertex_set).sum()), nv)
+
+
+def density_of(members: np.ndarray, vertex_set) -> float:
+    """rho(G[S], Psi) = instances fully inside S / |S|."""
+    return float(density_fraction(members, vertex_set))

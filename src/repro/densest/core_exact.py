@@ -4,39 +4,39 @@ Pipeline: (1) Spark enumerates instances; (2) exact (k,Psi)-core
 decomposition (driver peel over the collected instance table — the
 enumeration is the dominant cost, Lemma 6) tracking residual densities
 (rho'); (3) locate the CDS in the (k'',Psi)-core and split it into
-connected components; (4) per-component flow-network binary search
-with the four optimizations of §6.1:
+connected components; (4) per component, the Newton search of
+``network.newton_search`` in place of the paper's bisection over alpha:
 
-* tighter alpha bounds: l = max(kmax/|V_Psi|, rho', rho''), u = kmax;
-* Pruning1/2: localization via ceil(rho') and per-component ceil(rho'');
-* Pruning3: per-component stopping gap 1/(|V_C| (|V_C|-1));
-* Lemma 8 instance-node pruning (size-capped, see DESIGN.md);
-* shrink: whenever l grows past the located core order, the component
-  is re-restricted to the higher core and the network shrinks.
+* D starts as the best set known, alpha = rho(D) as an exact Fraction:
+  the best peel residual (Pruning 1, rho'), or the kmax-core when
+  Pruning 1 is off, raised to the densest located component (Pruning 2,
+  rho'');
+* Pruning 1/2: localization to the ceil(rho')- and ceil(rho'')-core;
+* alpha and D carry across components, since both are certified by a
+  concrete subgraph;
+* shrink: before every cut the component is restricted to the vertices
+  of core number above alpha (the ceil(alpha)-core unless alpha is an
+  integer), so the network shrinks whenever alpha rises, and a component
+  left with fewer than two vertices needs no cut.
 
-One printed-algorithm fix (documented in DESIGN.md): ``u`` is reset to
-``k_max`` per component — a cut certificate "no subgraph denser than
-alpha in C" says nothing about other components — and D starts as the
-best residual/ component, so the boundary case rho_opt == rho'' returns
-the optimum instead of the empty set.
+Starting from D, not from the empty set, fixes a printed-algorithm gap
+(DESIGN.md): when rho_opt == rho'' no cut is non-empty, and Algorithm 4
+as printed would return the empty set.
 """
 from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cores.clique_core import instances_inside, peel_decompose
+from repro.cores.clique_core import density_fraction, peel_decompose
 from repro.densest.common import DSDResult, exact_density, gather
-from repro.densest.network import build_network, lemma8_keep_mask, min_cut_vertices
+from repro.densest.network import newton_search
 from repro.graph.ops import components_pandas
 from repro.patterns.base import Pattern
-
-
-def _ceil(x: float) -> int:
-    return int(math.ceil(x - 1e-9))
 
 
 def core_exact(
@@ -46,9 +46,6 @@ def core_exact(
     inst: DataFrame | None = None,
     use_p1: bool = True,
     use_p2: bool = True,
-    use_p3: bool = True,
-    use_lemma8: bool = True,
-    lemma8_cap: int = 20_000,
     grouped: bool | None = None,
 ) -> DSDResult:
     t_start = time.perf_counter()
@@ -107,88 +104,42 @@ def core_exact(
         return list(groups.values())
 
     t2 = time.perf_counter()
-    # -- tighter bounds + localization -------------------------------------
-    l = kmax / p
-    k_loc = _ceil(kmax / p)
-    best = list(pr.best_vertices) if pr.best_vertices else allv[:1]
-    best_d = exact_density(members, best)
-    if use_p1:
-        l = max(l, pr.rho_prime)
-        k_loc = max(k_loc, _ceil(pr.rho_prime))
+    # -- the starting set D, alpha = rho(D), and localization ----------------
+    if use_p1:  # Pruning 1: the best peel residual, rho'
+        best = pr.best_vertices
+    else:  # Theorem 1 alone: the kmax-core is denser than kmax/|V_Psi|
+        best = sorted(core_vertices(kmax))
+    alpha = density_fraction(members, best)
+    k_loc = math.ceil(alpha if use_p1 else Fraction(kmax, p))
 
     comps = comps_of(core_vertices(k_loc))
-    if use_p2:
-        rho2, k2 = l, k_loc
+    if use_p2:  # Pruning 2: the densest located component, rho''
         for c in comps:
-            d = exact_density(members, c)
-            if d > rho2:
-                rho2 = d
-            if d > best_d:
-                best_d, best = d, sorted(c)
-        k2 = max(k_loc, _ceil(rho2))
-        l = max(l, rho2)
-        if k2 > k_loc:
-            k_loc = k2
+            d = density_fraction(members, c)
+            if d > alpha:
+                alpha, best = d, sorted(c)
+        if math.ceil(alpha) > k_loc:
+            k_loc = math.ceil(alpha)
             comps = comps_of(core_vertices(k_loc))
     t_locate = time.perf_counter() - t2
 
-    # -- per-component binary search ----------------------------------------
+    # -- per-component Newton search, alpha carried across components -------
+    def shrink(region, alpha):
+        """A set denser than alpha has a densest subset whose vertices each
+        lie in more than alpha of its instances; so only vertices of core
+        number above alpha can beat D."""
+        return [v for v in region if core_map[v] > alpha]
+
     t3 = time.perf_counter()
     for comp in comps:
-        cset = set(comp)
-        cur_k = k_loc
-        if _ceil(l) > cur_k:
-            cur_k = _ceil(l)
-            cset &= core_vertices(cur_k)
-        if len(cset) < 2:
-            continue
-        u = float(kmax)
-
-        def solve(alpha: float, cset: set):
-            mem_c = members[instances_inside(members, cset)]
-            keep = (
-                lemma8_keep_mask(mem_c, len(cset), cap=lemma8_cap)
-                if use_lemma8
-                else None
-            )
-            net, s, t, vid2node, n_nodes = build_network(
-                cset, mem_c, alpha, p, grouped=grouped, keep_mask=keep
-            )
-            stats["network_sizes"].append(n_nodes)
-            stats["iterations"] += 1
-            return min_cut_vertices(net, s, t, vid2node)
-
-        # feasibility probe at alpha = l (Alg. 4 lines 8-10)
-        cut = solve(l, cset)
-        if not cut:
-            continue
-        d = exact_density(members, cut)
-        if d > best_d:
-            best_d, best = d, sorted(cut)
-        while True:
-            nc = len(cset)
-            gap = 1.0 / (nc * (nc - 1)) if use_p3 else 1.0 / (n * (n - 1))
-            if u - l < gap or nc < 2:
-                break
-            alpha = (l + u) / 2.0
-            cut = solve(alpha, cset)
-            if not cut:
-                u = alpha
-            else:
-                l = alpha
-                d = exact_density(members, cut)
-                if d > best_d:
-                    best_d, best = d, sorted(cut)
-                if _ceil(l) > cur_k:
-                    cur_k = _ceil(l)
-                    cset &= core_vertices(cur_k)
+        best, alpha = newton_search(members, p, comp, best, alpha, grouped, stats, shrink)
     t_flow = time.perf_counter() - t3
 
     return DSDResult(
         "CoreExact",
         pattern.name,
         best,
-        best_d,
+        float(alpha),
         kmax=kmax,
         timings={
             "enumerate": t_enum,

@@ -1,20 +1,21 @@
-"""Exact (Algorithm 1): whole-graph flow-network binary search [24, 51].
+"""Exact (Algorithm 1): whole-graph flow-network search [24, 51].
 
-The baseline the paper improves on: bounds alpha in
-[0, max clique-degree], rebuilds the network over the ENTIRE graph in
-every iteration, and stops when u - l < 1/(n(n-1)). Instance
-enumeration is Spark dataflow; the per-iteration min-cut runs on the
-driver (see DESIGN.md layering).
+The baseline the paper improves on: every min-cut runs on a network over
+the ENTIRE graph. In place of the paper's bisection over alpha, it runs
+the Newton search of ``network.newton_search`` from D = V, alpha =
+rho(V): each non-empty cut raises alpha to the cut's density, and the
+first empty cut certifies the optimum. Instance enumeration is Spark
+dataflow; the min-cuts run on the driver (see DESIGN.md layering).
 """
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.densest.common import DSDResult, exact_density, gather
-from repro.densest.network import build_network, min_cut_vertices
+from repro.densest.network import newton_search
 from repro.patterns.base import Pattern
 
 
@@ -34,41 +35,29 @@ def exact_densest(
         grouped = pattern.kind not in ("clique",)
 
     n = len(allv)
-    p = pattern.nv
-    best: list = allv[:1]
+    stats = {"iterations": 0, "network_sizes": [], "n": n, "instances": int(members.shape[0])}
     if members.shape[0] == 0 or n < 2:
+        best = allv[:1]
         return DSDResult(
             "Exact", pattern.name, sorted(best), exact_density(members, best),
             timings={"enumerate": t_enum, "flow": 0.0, "total": time.perf_counter() - t0},
-            stats={"iterations": 0, "n": n, "instances": int(members.shape[0])},
+            stats=stats,
         )
 
-    _, counts = np.unique(members, return_counts=True)
-    lo, hi = 0.0, float(counts.max())
-    gap = 1.0 / (n * (n - 1))
-    iters = 0
     t_flow0 = time.perf_counter()
-    while hi - lo >= gap:
-        alpha = (lo + hi) / 2.0
-        net, s, t, vid2node, _ = build_network(allv, members, alpha, p, grouped=grouped)
-        cut = min_cut_vertices(net, s, t, vid2node)
-        iters += 1
-        if not cut:
-            hi = alpha
-        else:
-            lo = alpha
-            best = cut
+    best, alpha = newton_search(
+        members, pattern.nv, allv, allv, Fraction(members.shape[0], n), grouped, stats
+    )
     t_flow = time.perf_counter() - t_flow0
-    dens = exact_density(members, best)
     return DSDResult(
         "Exact",
         pattern.name,
         sorted(best),
-        dens,
+        float(alpha),
         timings={
             "enumerate": t_enum,
             "flow": t_flow,
             "total": time.perf_counter() - t0,
         },
-        stats={"iterations": iters, "n": n, "instances": int(members.shape[0])},
+        stats=stats,
     )

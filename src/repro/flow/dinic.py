@@ -1,20 +1,19 @@
-"""Dinic max-flow with float capacities.
+"""Dinic max-flow.
 
 Fills the role of Gusfield's min-cut solver [2] in the paper's exact
-algorithms. The binary-search densest-subgraph networks are tiny after
-core-based localization, so a tight pure-Python implementation (arc
-arrays, BFS levels, iterative DFS blocking flow) is the right layering
-here; the paper itself treats parallel min-cut as out of scope (§6.3).
+algorithms. The densest-subgraph networks are small after core-based
+localization, so a tight pure-Python implementation (arc arrays, BFS
+levels, iterative DFS blocking flow) is the right layering here; the
+paper itself treats parallel min-cut as out of scope (§6.3).
 
-Capacities are floats; ``EPS`` guards comparisons. The densest-subgraph
-binary search only needs cut *sides*, never exact flow values, and the
-stopping-gap 1/(n(n-1)) is many orders above float noise at our sizes.
+Capacities are kept as given and residuals are compared with 0. The
+densest-subgraph networks (``repro.densest.network``) have integer
+capacities, so every augmentation and every cut side is exact: no cut
+decision depends on a rounding tolerance.
 """
 from __future__ import annotations
 
 from collections import deque
-
-EPS = 1e-9
 
 
 class Dinic:
@@ -23,17 +22,17 @@ class Dinic:
     def __init__(self, n: int):
         self.n = n
         self.to: list[int] = []
-        self.cap: list[float] = []
+        self.cap: list = []
         self.head: list[list[int]] = [[] for _ in range(n)]
 
-    def add_edge(self, u: int, v: int, c: float) -> None:
+    def add_edge(self, u: int, v: int, c) -> None:
         """Directed edge u->v with capacity c (reverse edge cap 0)."""
         self.head[u].append(len(self.to))
         self.to.append(v)
-        self.cap.append(float(c))
+        self.cap.append(c)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0.0)
+        self.cap.append(0)
 
     def _bfs(self, s: int, t: int) -> bool:
         self.level = [-1] * self.n
@@ -43,14 +42,14 @@ class Dinic:
             u = q.popleft()
             for e in self.head[u]:
                 v = self.to[e]
-                if self.cap[e] > EPS and self.level[v] < 0:
+                if self.cap[e] > 0 and self.level[v] < 0:
                     self.level[v] = self.level[u] + 1
                     q.append(v)
         return self.level[t] >= 0
 
-    def _dfs(self, s: int, t: int) -> float:
+    def _dfs(self, s: int, t: int):
         """One blocking-flow augmentation (iterative)."""
-        total = 0.0
+        total = 0
         it = self.it
         path: list[int] = []
         u = s
@@ -63,7 +62,7 @@ class Dinic:
                 total += bott
                 # retreat to the first saturated arc
                 for k, e in enumerate(path):
-                    if self.cap[e] <= EPS:
+                    if self.cap[e] <= 0:
                         path = path[:k]
                         break
                 u = self.to[path[-1]] if path else s
@@ -72,7 +71,7 @@ class Dinic:
             while it[u] < len(self.head[u]):
                 e = self.head[u][it[u]]
                 v = self.to[e]
-                if self.cap[e] > EPS and self.level[v] == self.level[u] + 1:
+                if self.cap[e] > 0 and self.level[v] == self.level[u] + 1:
                     path.append(e)
                     u = v
                     advanced = True
@@ -88,8 +87,8 @@ class Dinic:
             u = self.to[e ^ 1]
             it[u] += 1
 
-    def max_flow(self, s: int, t: int) -> float:
-        flow = 0.0
+    def max_flow(self, s: int, t: int):
+        flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             flow += self._dfs(s, t)
@@ -103,7 +102,7 @@ class Dinic:
             u = q.popleft()
             for e in self.head[u]:
                 v = self.to[e]
-                if self.cap[e] > EPS and v not in seen:
+                if self.cap[e] > 0 and v not in seen:
                     seen.add(v)
                     q.append(v)
         return seen

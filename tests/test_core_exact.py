@@ -1,4 +1,7 @@
 """CoreExact (Algorithm 4) == Exact == brute force; pruning ablation."""
+import math
+
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -32,18 +35,23 @@ def test_core_exact_matches_exact_medium(spark, seed, pat):
     r1 = exact_densest(spark, g, pat)
     r2 = core_exact(spark, g, pat)
     assert r2.density == pytest.approx(r1.density, abs=1e-9)
+    # bisection over [0, max Psi-degree] down to a gap of 1/(n(n-1)) took
+    # ceil(log2(max_deg * n(n-1))) cuts; the Newton search takes a handful
+    allv, members = gather(spark, g, pat)
+    n, max_deg = len(allv), int(np.unique(members, return_counts=True)[1].max())
+    assert r1.stats["iterations"] < math.ceil(math.log2(max_deg * n * (n - 1)))
+    for r in (r1, r2):
+        assert r.stats["iterations"] == len(r.stats["network_sizes"]) >= 1
 
 
 @pytest.mark.parametrize(
     "flags",
     [
-        dict(use_p1=True, use_p2=False, use_p3=False),
-        dict(use_p1=False, use_p2=True, use_p3=False),
-        dict(use_p1=False, use_p2=False, use_p3=True),
-        dict(use_p1=False, use_p2=False, use_p3=False),
-        dict(use_lemma8=False),
+        dict(use_p1=True, use_p2=False),
+        dict(use_p1=False, use_p2=True),
+        dict(use_p1=False, use_p2=False),
     ],
-    ids=["P1", "P2", "P3", "none", "noL8"],
+    ids=["P1", "P2", "none"],
 )
 def test_pruning_variants_agree(spark, flags):
     pdf = gen.erdos_renyi_pandas(14, 0.35, seed=6)

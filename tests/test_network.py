@@ -1,20 +1,24 @@
 """Flow-network construction: Algorithm 1 gadget, construct+ (Lemma 12),
-Lemma 8 pruning safety."""
+exact cut decisions on rational alpha, and the Newton search."""
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cores.clique_core import density_fraction
+from repro.densest.bruteforce import brute_force_densest
 from repro.densest.network import (
     build_network,
     group_instances,
-    lemma8_keep_mask,
     min_cut_vertices,
+    newton_search,
 )
 
 
-def _mincut_value(vertex_ids, members, alpha, p, grouped=False, keep_mask=None):
-    net, s, t, vid2node, _ = build_network(
-        vertex_ids, members, alpha, p, grouped=grouped, keep_mask=keep_mask
-    )
+def _mincut_value(vertex_ids, members, alpha, p, grouped=False):
+    net, s, t, vid2node, _ = build_network(vertex_ids, members, alpha, p, grouped=grouped)
     return net.max_flow(s, t)
 
 
@@ -47,8 +51,6 @@ def test_alpha_zero_selects_everything():
 
 def test_binary_search_threshold_behaviour():
     # K4 triangles: mu=4, n=4, rho_opt=1. Cut empty iff alpha >= 1.
-    from itertools import combinations
-
     members = np.array([list(c) for c in combinations(range(4), 3)])
     net, s, t, v2n, _ = build_network(range(4), members, 0.9, 3)
     assert min_cut_vertices(net, s, t, v2n) == [0, 1, 2, 3]
@@ -70,27 +72,50 @@ def test_lemma12_grouped_equals_ungrouped(alpha):
     assert v1 == pytest.approx(v2)
 
 
-def test_lemma8_mask_shape_and_cap():
-    members = np.array([[0, 1, 2], [3, 4, 5]])
-    mask = lemma8_keep_mask(members, 6)
-    assert mask.shape == (2,)
-    assert lemma8_keep_mask(members, 6, cap=1).all()  # over cap -> keep all
-
-
-def test_lemma8_prunes_isolated_instance():
-    # dense K4-triangles + one remote triangle: removing the remote
-    # triangle's vertices raises density, so it can be pruned
-    from itertools import combinations
-
-    dense = [list(c) for c in combinations(range(4), 3)]
-    members = np.array(dense + [[10, 11, 12]])
-    mask = lemma8_keep_mask(members, 7)
-    assert mask[:4].all()
-    assert not mask[4]
-
-
 def test_network_node_count():
     members = np.array([[0, 1, 2], [1, 2, 3]])
     _, s, t, vid2node, n_nodes = build_network([0, 1, 2, 3], members, 1.0, 3)
     assert n_nodes == 1 + 4 + 2 + 1
     assert s == 0 and t == n_nodes - 1
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_cut_decision_is_exact_next_to_rho_opt(grouped):
+    """K5's triangles (rho = 2) are the unique densest set; a triangle
+    hanging off vertex 0 and an isolated vertex are not in it. Just below
+    rho_opt the cut is exactly K5, at rho_opt it is empty: a float network
+    compared with a tolerance cannot tell the two apart."""
+    k5 = [list(c) for c in combinations(range(5), 3)]
+    members = np.array(k5 + [[0, 5, 6]], dtype=np.int64)
+    vids = list(range(8))
+    s_star = list(range(5))
+    rho = density_fraction(members, s_star)
+    assert rho == 2
+    net, s, t, v2n, _ = build_network(vids, members, rho - Fraction(1, 10**12), 3, grouped)
+    assert min_cut_vertices(net, s, t, v2n) == s_star
+    net, s, t, v2n, _ = build_network(vids, members, rho, 3, grouped)
+    assert min_cut_vertices(net, s, t, v2n) == []
+
+
+@st.composite
+def _instances(draw):
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(p, 12))
+    rows = draw(st.lists(st.permutations(range(n)).map(lambda r: r[:p]), max_size=24))
+    members = np.array(rows, dtype=np.int64).reshape(len(rows), p)
+    return n, p, members, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_instances())
+def test_newton_search_matches_brute_force(case):
+    n, p, members, grouped = case
+    vids = list(range(n))
+    stats = {"iterations": 0, "network_sizes": []}
+    best, rho = newton_search(
+        members, p, vids, vids, Fraction(members.shape[0], n), grouped, stats
+    )
+    bf_set, _ = brute_force_densest(members, vids)
+    assert rho == density_fraction(members, bf_set)
+    assert rho == density_fraction(members, best)
+    assert stats["iterations"] == len(stats["network_sizes"]) >= 1
